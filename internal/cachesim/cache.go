@@ -1,7 +1,7 @@
 // Package cachesim is a deterministic, trace-driven simulator of a
 // multi-socket cache-coherent memory hierarchy. It stands in for the
-// paper's 80-core Intel machine and its hardware performance counters
-// (DESIGN.md, substitution table): Figures 6, 7, 11 and 12 are counts and
+// paper's 80-core Intel machine and its hardware performance counters,
+// which no host here has: Figures 6, 7, 11 and 12 are counts and
 // costs of cache-line movements, which are a structural property of the
 // access pattern plus the coherence protocol — so we recover them by
 // simulating the protocol instead of sampling a PMU.

@@ -16,9 +16,10 @@ import (
 // needs DownAfter + promote + drain; heals need reconnect + resync.
 const maxTTR = 8 * time.Second
 
-func shortRC(t *testing.T, seed int64) RunConfig {
+func shortRC(t *testing.T, backend string, seed int64) RunConfig {
 	t.Helper()
 	return RunConfig{
+		Backend:       backend,
 		Seed:          seed,
 		Writers:       2,
 		KeysPerWriter: 150,
@@ -29,29 +30,33 @@ func shortRC(t *testing.T, seed int64) RunConfig {
 	}
 }
 
-// TestScenarioMatrix runs every cell of the fault matrix and asserts
-// the scenario's own contract (promotion count, zero loss — both
-// enforced inside Run) plus a global recovery bound.
+// TestScenarioMatrix runs every cell of the fault matrix on both
+// engines and asserts the scenario's own contract (promotion count, zero
+// loss — both enforced inside Run) plus a global recovery bound.
 func TestScenarioMatrix(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res, err := Run(sc, shortRC(t, 42))
-			if err != nil {
-				t.Fatalf("%s: %v (result %+v)", sc.Name, err, res)
+			for _, engine := range Engines {
+				t.Run(engine, func(t *testing.T) {
+					res, err := Run(sc, shortRC(t, engine, 42))
+					if err != nil {
+						t.Fatalf("%s: %v (result %+v)", sc.Name, err, res)
+					}
+					if res.Ops == 0 {
+						t.Fatalf("%s: no operation ever succeeded", sc.Name)
+					}
+					if ttr := res.TTR(); ttr > maxTTR {
+						t.Fatalf("%s: time-to-recovery %v exceeds %v", sc.Name, ttr, maxTTR)
+					}
+					if sc.Name == "kill-recover" && res.TTR() == 0 {
+						t.Fatal("kill-recover: a primary died under live traffic yet no client ever erred")
+					}
+					t.Logf("%s/%s: ops=%d errs=%d qps=%.0f p99=%v p999=%v ttr=%v promotions=%d",
+						sc.Name, engine, res.Ops, res.Errors, res.QPS,
+						time.Duration(res.P99Ns), time.Duration(res.P999Ns), res.TTR(), res.Promotions)
+				})
 			}
-			if res.Ops == 0 {
-				t.Fatalf("%s: no operation ever succeeded", sc.Name)
-			}
-			if ttr := res.TTR(); ttr > maxTTR {
-				t.Fatalf("%s: time-to-recovery %v exceeds %v", sc.Name, ttr, maxTTR)
-			}
-			if sc.Name == "kill-recover" && res.TTR() == 0 {
-				t.Fatal("kill-recover: a primary died under live traffic yet no client ever erred")
-			}
-			t.Logf("%s: ops=%d errs=%d qps=%.0f p99=%v p999=%v ttr=%v promotions=%d",
-				sc.Name, res.Ops, res.Errors, res.QPS,
-				time.Duration(res.P99Ns), time.Duration(res.P999Ns), res.TTR(), res.Promotions)
 		})
 	}
 }
@@ -64,20 +69,19 @@ func TestScenarioMatrix(t *testing.T) {
 // would flip ownership away from the only member holding the newest
 // acked writes.
 func TestAsymmetricPartitionNoPrematureFailover(t *testing.T) {
-	c, err := New(Config{
-		BaseDir:      t.TempDir(),
-		Seed:         7,
-		Detector:     true,
-		WitnessProbe: true,
-		DownAfter:    150 * time.Millisecond,
-	})
+	cfg := Config{Seed: 7}
+	cfg.DataDir = t.TempDir()
+	cfg.AutoPromote = true
+	cfg.WitnessProbe = true
+	cfg.Detect.DownAfter = 150 * time.Millisecond
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	victim := c.VictimFor()
-	rc := shortRC(t, 7)
+	rc := shortRC(t, "", 7)
 	w := startWorkload(c, rc)
 	time.Sleep(rc.Warmup)
 
@@ -100,10 +104,10 @@ func TestAsymmetricPartitionNoPrematureFailover(t *testing.T) {
 	if n := c.Promotions(); n != 0 {
 		t.Fatalf("asymmetric partition triggered %d premature promotions", n)
 	}
-	if !c.Client.Ring().Contains(victim) {
+	if !c.Client().Ring().Contains(victim) {
 		t.Fatal("victim fell out of the ring during a one-way partition")
 	}
-	for _, ts := range c.Det.Status() {
+	for _, ts := range c.Detector().Status() {
 		if ts.Target == victim && !ts.Up {
 			t.Fatalf("witness failed to vouch for the reachable primary: %+v", ts)
 		}
@@ -124,20 +128,19 @@ func TestAsymmetricPartitionNoPrematureFailover(t *testing.T) {
 // detector records the transitions, and the flap guard marks the target
 // suppressed instead of promoting — acked writes survive untouched.
 func TestFlapGuardSuppressesPromotion(t *testing.T) {
-	c, err := New(Config{
-		BaseDir:   t.TempDir(),
-		Seed:      11,
-		Detector:  true, // bare dial probe: every flap window is visible
-		DownAfter: 500 * time.Millisecond,
-		FlapMax:   3,
-	})
+	cfg := Config{Seed: 11}
+	cfg.DataDir = t.TempDir()
+	cfg.AutoPromote = true // bare dial probe: every flap window is visible
+	cfg.Detect.DownAfter = 500 * time.Millisecond
+	cfg.Detect.FlapMax = 3
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	victim := c.VictimFor()
-	rc := shortRC(t, 11)
+	rc := shortRC(t, "", 11)
 	w := startWorkload(c, rc)
 	time.Sleep(rc.Warmup)
 
@@ -165,7 +168,7 @@ func TestFlapGuardSuppressesPromotion(t *testing.T) {
 		t.Fatalf("flapping probe path triggered %d promotions", n)
 	}
 	var saw bool
-	for _, ts := range c.Det.Status() {
+	for _, ts := range c.Detector().Status() {
 		if ts.Target != victim {
 			continue
 		}
@@ -178,7 +181,7 @@ func TestFlapGuardSuppressesPromotion(t *testing.T) {
 		}
 	}
 	if !saw {
-		t.Fatalf("victim missing from detector status: %+v", c.Det.Status())
+		t.Fatalf("victim missing from detector status: %+v", c.Detector().Status())
 	}
 	if errs := w.errs.Load(); errs != 0 {
 		t.Fatalf("detector-only flap leaked %d errors to clients", errs)

@@ -15,6 +15,9 @@ import (
 // RunConfig sizes one scenario run. Zero values take the short-mode
 // defaults used by the CI smoke job; cpbench passes larger windows.
 type RunConfig struct {
+	// Backend is the engine every member runs: cphash (default) or
+	// lockhash.
+	Backend       string
 	Seed          int64
 	Writers       int
 	KeysPerWriter int
@@ -77,6 +80,7 @@ type Scenario struct {
 // Result is one scenario measurement — the row that lands in
 // BENCH_faults.json.
 type Result struct {
+	Engine     string  `json:"engine"`
 	Scenario   string  `json:"scenario"`
 	Seed       int64   `json:"seed"`
 	Ops        int64   `json:"ops"`
@@ -139,7 +143,7 @@ func (w *workload) writer(id int, rc RunConfig) {
 		ver := st.attempted.Add(1)
 		val := []byte(fmt.Sprintf("%d:%d", k, ver))
 		t0 := time.Now()
-		err := w.c.Client.Set(k, val)
+		err := w.c.Client().Set(k, val)
 		h.Record(time.Since(t0).Nanoseconds())
 		if err != nil {
 			w.errs.Add(1)
@@ -150,7 +154,7 @@ func (w *workload) writer(id int, rc RunConfig) {
 		// The read-back is where synchronous latency lives (SETs are
 		// one-way in the CPHash protocol), so it is measured too.
 		t0 = time.Now()
-		v, found, gerr := w.c.Client.Get(k)
+		v, found, gerr := w.c.Client().Get(k)
 		h.Record(time.Since(t0).Nanoseconds())
 		if gerr != nil {
 			w.errs.Add(1)
@@ -193,7 +197,7 @@ func (w *workload) verify() (lost, stale int) {
 			err   error
 		)
 		for attempt := 0; attempt < 40; attempt++ {
-			v, found, err = w.c.Client.Get(uint64(k))
+			v, found, err = w.c.Client().Get(uint64(k))
 			if err == nil {
 				break
 			}
@@ -224,7 +228,9 @@ func Run(sc Scenario, rc RunConfig) (Result, error) {
 	if rc.Dir == "" {
 		return Result{}, fmt.Errorf("chaoslab: RunConfig.Dir is required")
 	}
-	cfg := Config{BaseDir: rc.Dir, Seed: rc.Seed}
+	cfg := Config{Seed: rc.Seed}
+	cfg.DataDir = rc.Dir
+	cfg.Backend = rc.Backend
 	if sc.Lab != nil {
 		sc.Lab(&cfg)
 	}
@@ -278,6 +284,7 @@ func Run(sc Scenario, rc RunConfig) (Result, error) {
 		merged.Merge(h)
 	}
 	res := Result{
+		Engine:     c.cfg.Backend,
 		Scenario:   sc.Name,
 		Seed:       rc.Seed,
 		Ops:        w.ops.Load(),
@@ -301,6 +308,10 @@ func Run(sc Scenario, rc RunConfig) (Result, error) {
 	return res, nil
 }
 
+// Engines are the table designs the fault matrix runs every scenario on:
+// the paper's message-passing CPHASH and its LOCKHASH baseline.
+var Engines = []string{"lockhash", "cphash"}
+
 // Scenarios returns the fault matrix: the five failure modes the
 // robustness PRs hardened, each with its recovery definition.
 func Scenarios() []Scenario {
@@ -311,12 +322,11 @@ func Scenarios() []Scenario {
 			// TTR is kill → last client error.
 			Name: "kill-recover",
 			Lab: func(cfg *Config) {
-				cfg.Detector = true
+				cfg.AutoPromote = true
 				cfg.WitnessProbe = true
 			},
 			Inject: func(c *Cluster, victim string, _ time.Duration) error {
-				c.Kill(victim)
-				return nil
+				return c.Kill(victim)
 			},
 			Signal:         SignalClient,
 			WantPromotions: 1,
@@ -376,8 +386,8 @@ func Scenarios() []Scenario {
 			// the last client error after the final flap window closes.
 			Name: "flapping-node",
 			Lab: func(cfg *Config) {
-				cfg.Detector = true
-				cfg.DownAfter = 400 * time.Millisecond
+				cfg.AutoPromote = true
+				cfg.Detect.DownAfter = 400 * time.Millisecond
 			},
 			Inject: func(c *Cluster, victim string, faultFor time.Duration) error {
 				return InjectFlap(c, victim, faultFor, 150*time.Millisecond, 300*time.Millisecond)
@@ -401,7 +411,7 @@ func Scenarios() []Scenario {
 			// keep vouching right up to the fence.
 			Name: "hung-primary",
 			Lab: func(cfg *Config) {
-				cfg.Detector = true
+				cfg.AutoPromote = true
 				cfg.WitnessProbe = true
 				cfg.AppProbe = true
 			},

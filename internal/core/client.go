@@ -125,8 +125,15 @@ type Client struct {
 	to   []*ring.SPSC[request]
 	from []*ring.SPSC[reply]
 
-	pending     []pendingFIFO
-	replyBuf    []reply
+	pending  []pendingFIFO
+	replyBuf []reply
+	// readies queues the Ready messages of insert replies completed in
+	// the current Poll. They are sent only after the reply batch is fully
+	// completed: sending can find the ring full and poll again, and a
+	// nested Poll must not consume replies (into replyBuf, against
+	// pending) while an outer one is still completing its batch.
+	readies     []readyMsg
+	readyHead   int
 	outstanding int
 	// maxOutstanding bounds in-flight replied operations (the paper's
 	// pipeline/batch size; 1,000 in §6.1). IssueAsync blocks (polling)
@@ -138,6 +145,12 @@ type Client struct {
 	// stats
 	issued    int64
 	completed int64
+}
+
+// readyMsg is a queued Ready request for server s.
+type readyMsg struct {
+	s int
+	r request
 }
 
 // SetPipeline bounds the number of outstanding operations (default: 1,000,
@@ -286,12 +299,12 @@ func (c *Client) issue(o *Op, r request) {
 // the system cannot deadlock) while the ring is full.
 func (c *Client) send(s int, r request) {
 	rq := c.to[s]
-	if rq.Produce(r) {
-		return
-	}
-	rq.Flush()
-	c.t.kick(s) // the server may be parked while we wait for ring space
 	for !rq.Produce(r) {
+		// Publish before waiting, every round: a Poll below may send an
+		// insert's Ready into this ring's private buffer, and a server
+		// parked on the published (empty) view would never free space.
+		rq.Flush()
+		c.t.kick(s) // the server may be parked while we wait for ring space
 		if c.Poll() == 0 {
 			runtime.Gosched()
 		}
@@ -338,7 +351,21 @@ func (c *Client) Poll() int {
 			done += n
 		}
 	}
+	c.sendReadies()
 	return done
+}
+
+// sendReadies sends the queued Ready messages in completion order. A send
+// that polls re-enters here and drains the rest of the queue itself, so
+// every message is sent exactly once.
+func (c *Client) sendReadies() {
+	for c.readyHead < len(c.readies) {
+		m := c.readies[c.readyHead]
+		c.readyHead++
+		c.send(m.s, m.r)
+	}
+	c.readies = c.readies[:0]
+	c.readyHead = 0
 }
 
 // complete finishes the oldest pending op on server s with the given reply.
@@ -360,7 +387,7 @@ func (c *Client) complete(s int, rep reply) {
 		// client (so large values wipe the *client's* cache, not the
 		// server's — §3.2) and publish with Ready.
 		copy(rep.elem.Value(), o.insVal)
-		c.send(s, request{keyop: makeKeyop(opReady, o.key), elem: rep.elem})
+		c.readies = append(c.readies, readyMsg{s, request{keyop: makeKeyop(opReady, o.key), elem: rep.elem}})
 		o.hit = true
 		o.insVal = nil
 	case OpDelete:

@@ -7,8 +7,9 @@
 //
 //   - "server thread pinned to a hardware thread" → one goroutine per
 //     partition that calls runtime.LockOSThread (Go cannot pin to a *core*,
-//     only to an OS thread; see DESIGN.md for why the shape of the results
-//     survives this substitution).
+//     only to an OS thread; the shape of the results survives because the
+//     kernel rarely migrates a busy locked thread, so each partition's data
+//     still stays in one core's cache).
 //   - message passing via pre-allocated circular buffers → internal/ring
 //     SPSC rings, one pair per (client, server), with temporary write
 //     indices and cache-line-granularity flushing exactly as in §3.4.

@@ -10,7 +10,9 @@
 //
 // The paper generates load from a second 48-core machine over 10 Gbps
 // Ethernet; this reproduction drives loopback on one machine, which
-// preserves the compute ratios Figure 13 is about (see DESIGN.md).
+// preserves the compute ratios Figure 13 is about: both designs pay the
+// same network stack cost per request, so their ratio still reflects the
+// table.
 package loadgen
 
 import (

@@ -6,7 +6,7 @@
 // directly. The paper runs LOCKHASH with 4,096 partitions, experimentally
 // the optimum: fewer partitions contend, more add no throughput.
 //
-// Differences from the paper, documented in DESIGN.md:
+// Differences from the paper:
 //   - The paper's random-eviction configuration uses per-bucket locks; here
 //     random eviction uses the same per-partition spinlock, because the
 //     shared single-threaded allocator inside a partition would need its own
