@@ -53,7 +53,6 @@ import (
 	"cphash/internal/memcache"
 	"cphash/internal/obs"
 	"cphash/internal/partition"
-	"cphash/internal/perf"
 	"cphash/internal/persist"
 	"cphash/internal/replica"
 	"cphash/internal/ring"
@@ -144,8 +143,9 @@ func main() {
 	writeResults()
 }
 
-// runCPHash measures native CPHASH throughput for a spec.
-func runCPHash(spec workload.Spec, capacityValues int, policy partition.EvictionPolicy, nClients, nParts, pipeline int) perf.Throughput {
+// runCPHash measures native CPHASH throughput for a spec, in
+// queries/sec.
+func runCPHash(spec workload.Spec, capacityValues int, policy partition.EvictionPolicy, nClients, nParts, pipeline int) float64 {
 	t := core.MustNew(core.Config{
 		Partitions:    nParts,
 		CapacityBytes: partition.CapacityForValues(capacityValues, spec.ValueSize),
@@ -196,11 +196,12 @@ func runCPHash(spec workload.Spec, capacityValues int, policy partition.Eviction
 	for ci := 0; ci < nClients; ci++ {
 		<-done
 	}
-	return perf.Throughput{Ops: int64(perClient * nClients), Elapsed: time.Since(start)}
+	return qps(perClient*nClients, start)
 }
 
-// runLockHash measures native LOCKHASH throughput for a spec.
-func runLockHash(spec workload.Spec, capacityValues int, policy partition.EvictionPolicy, nThreads int) perf.Throughput {
+// runLockHash measures native LOCKHASH throughput for a spec, in
+// queries/sec.
+func runLockHash(spec workload.Spec, capacityValues int, policy partition.EvictionPolicy, nThreads int) float64 {
 	t := lockhash.MustNew(lockhash.Config{
 		CapacityBytes: partition.CapacityForValues(capacityValues, spec.ValueSize),
 		Policy:        policy,
@@ -231,7 +232,12 @@ func runLockHash(spec workload.Spec, capacityValues int, policy partition.Evicti
 	for ti := 0; ti < nThreads; ti++ {
 		<-done
 	}
-	return perf.Throughput{Ops: int64(perThread * nThreads), Elapsed: time.Since(start)}
+	return qps(perThread*nThreads, start)
+}
+
+// qps is the rate of ops operations completed since start.
+func qps(ops int, start time.Time) float64 {
+	return float64(ops) / time.Since(start).Seconds()
 }
 
 func figWS(key, title string, policy partition.EvictionPolicy) {
@@ -241,10 +247,9 @@ func figWS(key, title string, policy partition.EvictionPolicy) {
 		spec := workload.Default(ws)
 		cp := runCPHash(spec, spec.NumKeys(), policy, *clients, *servers, 0)
 		lh := runLockHash(spec, spec.NumKeys(), policy, *clients+*servers)
-		record(key, map[string]any{"design": "cphash", "ws": ws, "eviction": policy.String()}, cp.PerSecond(), 0)
-		record(key, map[string]any{"design": "lockhash", "ws": ws, "eviction": policy.String()}, lh.PerSecond(), 0)
-		fmt.Printf("%-10s %16.3g %16.3g %8.2f\n",
-			perf.FormatBytes(ws), cp.PerSecond(), lh.PerSecond(), cp.PerSecond()/lh.PerSecond())
+		record(key, map[string]any{"design": "cphash", "ws": ws, "eviction": policy.String()}, cp, 0)
+		record(key, map[string]any{"design": "lockhash", "ws": ws, "eviction": policy.String()}, lh, 0)
+		fmt.Printf("%-10s %16.3g %16.3g %8.2f\n", sizeparse.Format(ws), cp, lh, cp/lh)
 	}
 	fmt.Println()
 }
@@ -258,10 +263,9 @@ func fig9() {
 		capVals := spec.NumKeys() / frac
 		cp := runCPHash(spec, capVals, partition.EvictLRU, *clients, *servers, 0)
 		lh := runLockHash(spec, capVals, partition.EvictLRU, *clients+*servers)
-		record("fig9", map[string]any{"design": "cphash", "ws": ws, "capacityValues": capVals}, cp.PerSecond(), 0)
-		record("fig9", map[string]any{"design": "lockhash", "ws": ws, "capacityValues": capVals}, lh.PerSecond(), 0)
-		fmt.Printf("%-10s %16.3g %16.3g\n",
-			perf.FormatBytes(capVals*8), cp.PerSecond(), lh.PerSecond())
+		record("fig9", map[string]any{"design": "cphash", "ws": ws, "capacityValues": capVals}, cp, 0)
+		record("fig9", map[string]any{"design": "lockhash", "ws": ws, "capacityValues": capVals}, lh, 0)
+		fmt.Printf("%-10s %16.3g %16.3g\n", sizeparse.Format(capVals*8), cp, lh)
 	}
 	fmt.Println()
 }
@@ -275,9 +279,9 @@ func fig10() {
 		spec.InsertRatio = ratio
 		cp := runCPHash(spec, spec.NumKeys(), partition.EvictLRU, *clients, *servers, 0)
 		lh := runLockHash(spec, spec.NumKeys(), partition.EvictLRU, *clients+*servers)
-		record("fig10", map[string]any{"design": "cphash", "ws": ws, "insertRatio": ratio}, cp.PerSecond(), 0)
-		record("fig10", map[string]any{"design": "lockhash", "ws": ws, "insertRatio": ratio}, lh.PerSecond(), 0)
-		fmt.Printf("%-8.1f %16.3g %16.3g\n", ratio, cp.PerSecond(), lh.PerSecond())
+		record("fig10", map[string]any{"design": "cphash", "ws": ws, "insertRatio": ratio}, cp, 0)
+		record("fig10", map[string]any{"design": "lockhash", "ws": ws, "insertRatio": ratio}, lh, 0)
+		fmt.Printf("%-8.1f %16.3g %16.3g\n", ratio, cp, lh)
 	}
 	fmt.Println()
 }
@@ -293,9 +297,10 @@ func fig11() {
 	for n := 2; n <= max; n *= 2 {
 		cp := runCPHash(spec, spec.NumKeys(), partition.EvictLRU, n/2, n/2, 0)
 		lh := runLockHash(spec, spec.NumKeys(), partition.EvictLRU, n)
-		record("fig11", map[string]any{"design": "cphash", "goroutines": n, "qpsPerThread": cp.PerSecondPerThread(n)}, cp.PerSecond(), 0)
-		record("fig11", map[string]any{"design": "lockhash", "goroutines": n, "qpsPerThread": lh.PerSecondPerThread(n)}, lh.PerSecond(), 0)
-		fmt.Printf("%-10d %18.3g %18.3g\n", n, cp.PerSecondPerThread(n), lh.PerSecondPerThread(n))
+		cpPer, lhPer := cp/float64(n), lh/float64(n)
+		record("fig11", map[string]any{"design": "cphash", "goroutines": n, "qpsPerThread": cpPer}, cp, 0)
+		record("fig11", map[string]any{"design": "lockhash", "goroutines": n, "qpsPerThread": lhPer}, lh, 0)
+		fmt.Printf("%-10d %18.3g %18.3g\n", n, cpPer, lhPer)
 	}
 	fmt.Println()
 }
@@ -345,7 +350,7 @@ func fig13() {
 
 		record("fig13", map[string]any{"design": "cpserver", "ws": ws}, cpQPS, cpP99)
 		record("fig13", map[string]any{"design": "lockserver", "ws": ws}, lhQPS, lhP99)
-		fmt.Printf("%-10s %16.3g %16.3g %8.2f\n", perf.FormatBytes(ws), cpQPS, lhQPS, cpQPS/lhQPS)
+		fmt.Printf("%-10s %16.3g %16.3g %8.2f\n", sizeparse.Format(ws), cpQPS, lhQPS, cpQPS/lhQPS)
 	}
 	fmt.Println()
 }
@@ -429,8 +434,8 @@ func ablationBatch() {
 	fmt.Printf("%-10s %16s\n", "pipeline", "CPHash q/s")
 	for _, depth := range []int{8, 64, 512, 2048} {
 		cp := runCPHash(spec, spec.NumKeys(), partition.EvictLRU, *clients, *servers, depth)
-		record("ablation-batch", map[string]any{"design": "cphash", "pipeline": depth}, cp.PerSecond(), 0)
-		fmt.Printf("%-10d %16.3g\n", depth, cp.PerSecond())
+		record("ablation-batch", map[string]any{"design": "cphash", "pipeline": depth}, cp, 0)
+		fmt.Printf("%-10d %16.3g\n", depth, cp)
 	}
 	fmt.Println()
 }
@@ -449,7 +454,7 @@ const (
 // what makes the whole-process allocation delta a steady-state number:
 // no dial, bufio, connState, or cold-arena setup lands inside the timed
 // region. The loop body is allocation-free.
-func hotpathConnLoop(addr string, size, connOps int, seed uint64, hist *perf.Histogram, warmed *sync.WaitGroup, start <-chan struct{}) error {
+func hotpathConnLoop(addr string, size, connOps int, seed uint64, hist *obs.Hist, warmed *sync.WaitGroup, start <-chan struct{}) error {
 	bw, br, closer, err := kvserver.DialBuf(addr, size)
 	if err != nil {
 		warmed.Done()
@@ -597,18 +602,16 @@ func hotpathRun(size int, persistDir string, replicate bool) (res hotpathResult,
 	}
 	// Every connection dials and warms up once, parks at the barrier, and
 	// runs its measured round on the same connection — so the MemStats
-	// window brackets pure steady state.
-	hists := make([]*perf.Histogram, hotpathConns)
-	for i := range hists {
-		hists[i] = perf.NewHistogram()
-	}
+	// window brackets pure steady state. All of them record into one
+	// histogram (atomic adds, no allocation).
+	var hist obs.Hist
 	var warmed sync.WaitGroup
 	warmed.Add(hotpathConns)
 	startGate := make(chan struct{})
 	errs := make(chan error, hotpathConns)
 	for ci := 0; ci < hotpathConns; ci++ {
 		go func(ci int) {
-			errs <- hotpathConnLoop(srv.Addr(), size, connOps, uint64(ci)*0x9e3779b9+1, hists[ci], &warmed, startGate)
+			errs <- hotpathConnLoop(srv.Addr(), size, connOps, uint64(ci)*0x9e3779b9+1, &hist, &warmed, startGate)
 		}(ci)
 	}
 	warmed.Wait()
@@ -636,13 +639,14 @@ func hotpathRun(size int, persistDir string, replicate bool) (res hotpathResult,
 
 	total := int64(connOps * hotpathConns)
 	allocsPerOp := float64(after.Mallocs-before.Mallocs) / float64(total)
-	hist := perf.NewHistogram()
-	for _, h := range hists {
-		hist.Merge(h)
-	}
-	qps := float64(total) / elapsed.Seconds()
-	p99 := time.Duration(hist.Quantile(0.99))
-	return hotpathResult{design: design, size: size, qps: qps, p99: p99, allocs: allocsPerOp}, true
+	lat := hist.Snapshot()
+	return hotpathResult{
+		design: design,
+		size:   size,
+		qps:    float64(total) / elapsed.Seconds(),
+		p99:    time.Duration(lat.Quantile(0.99)),
+		allocs: allocsPerOp,
+	}, true
 }
 
 // hotpathResult is one hotpath measurement.
@@ -681,7 +685,7 @@ func hotpathBest(exp string, size int, persistDir string, replicate bool) float6
 		"allocsPerOp": b.allocs,
 		"bestOf":      hotpathRuns,
 	}, b.qps, b.p99)
-	fmt.Printf("%-18s %-10s %14.3g %12v %12.4f\n", b.design, perf.FormatBytes(b.size), b.qps, b.p99, b.allocs)
+	fmt.Printf("%-18s %-10s %14.3g %12v %12.4f\n", b.design, sizeparse.Format(b.size), b.qps, b.p99, b.allocs)
 	return b.qps
 }
 
@@ -712,7 +716,7 @@ func hotpathExperiment() {
 		os.RemoveAll(dir)
 		if bare > 0 && durable > 0 {
 			fmt.Printf("  durability overhead at %s: %.1f%% qps (WAL on, sync=interval, best of %d)\n",
-				perf.FormatBytes(size), 100*(1-durable/bare), hotpathRuns)
+				sizeparse.Format(size), 100*(1-durable/bare), hotpathRuns)
 		}
 	}
 	fmt.Println()
@@ -724,11 +728,8 @@ func hotpathExperiment() {
 func waitSynced(src *replica.Source, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		tail := src.Tail()
-		for _, ps := range src.Status() {
-			if ps.Synced && ps.Acked >= tail {
-				return true
-			}
+		if n, ok := src.CaughtUp(); ok && n > 0 {
+			return true
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -771,9 +772,9 @@ func replicationExperiment() {
 	replicated := hotpathBest("replication", size, rdir, true)
 	if bare > 0 && durable > 0 && replicated > 0 {
 		fmt.Printf("  durability overhead at %s: %.1f%% qps (WAL on, sync=interval)\n",
-			perf.FormatBytes(size), 100*(1-durable/bare))
+			sizeparse.Format(size), 100*(1-durable/bare))
 		fmt.Printf("  replication overhead at %s: %.1f%% qps over persist-only (live follower, best of %d)\n",
-			perf.FormatBytes(size), 100*(1-replicated/durable), hotpathRuns)
+			sizeparse.Format(size), 100*(1-replicated/durable), hotpathRuns)
 	}
 	fmt.Println()
 }
@@ -963,9 +964,9 @@ func ablationDynamic() {
 		for ci := 0; ci < *clients; ci++ {
 			<-done
 		}
-		tput := perf.Throughput{Ops: int64(perClient * *clients), Elapsed: time.Since(start)}
-		record("ablation-dynamic", map[string]any{"design": "cphash", "activeServers": active}, tput.PerSecond(), 0)
-		fmt.Printf("%-16d %16.3g\n", active, tput.PerSecond())
+		rate := qps(*clients*perClient, start)
+		record("ablation-dynamic", map[string]any{"design": "cphash", "activeServers": active}, rate, 0)
+		fmt.Printf("%-16d %16.3g\n", active, rate)
 		t.Close()
 	}
 	fmt.Println()

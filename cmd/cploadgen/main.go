@@ -101,9 +101,11 @@ func main() {
 		log.Fatalf("cploadgen: %v", err)
 	}
 	fmt.Println(res)
-	fmt.Printf("window latency: %s\n", res.Latency)
+	lat := &res.Latency
+	fmt.Printf("window latency: n=%d mean=%.0f p50≤%d p99≤%d ns\n",
+		lat.Count, lat.Mean(), lat.Quantile(0.5), lat.Quantile(0.99))
 	if *p999 {
-		fmt.Printf("window latency p999≤%d ns\n", res.Latency.Quantile(0.999))
+		fmt.Printf("window latency p999≤%d ns\n", lat.Quantile(0.999))
 	}
 	if *perNode || len(nodes) > 1 {
 		printPerNode(res)

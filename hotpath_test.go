@@ -182,20 +182,11 @@ func waitReplicated(tb testing.TB, src *replica.Source, followers int) {
 	tb.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		tail := src.Tail()
-		peers := src.Status()
-		ok := len(peers) == followers
-		for _, ps := range peers {
-			if !ps.Synced || ps.Acked < tail {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if n, ok := src.CaughtUp(); ok && n == followers {
 			return
 		}
 		if time.Now().After(deadline) {
-			tb.Fatalf("followers did not reach the tail watermark: %+v", peers)
+			tb.Fatalf("followers did not reach the tail watermark: %+v", src.Status())
 		}
 		time.Sleep(time.Millisecond)
 	}

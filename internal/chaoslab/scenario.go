@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"cphash/internal/chaos"
-	"cphash/internal/perf"
+	"cphash/internal/obs"
 )
 
 // RunConfig sizes one scenario run. Zero values take the short-mode
@@ -103,9 +103,9 @@ func (r Result) TTR() time.Duration { return time.Duration(r.TTRNs) }
 // same acked-write discipline as the promotion property tests: a write
 // counts as acked only once its read-back returns the exact value.
 type workload struct {
-	c      *Cluster
-	states []keyState
-	hists  []*perf.Histogram
+	c       *Cluster
+	states  []keyState
+	latency obs.Hist // every writer's Set and read-back round trips
 
 	ops, errs atomic.Int64
 	lastErrNs atomic.Int64
@@ -123,10 +123,8 @@ func startWorkload(c *Cluster, rc RunConfig) *workload {
 	w := &workload{
 		c:      c,
 		states: make([]keyState, rc.Writers*rc.KeysPerWriter),
-		hists:  make([]*perf.Histogram, rc.Writers),
 	}
 	for i := 0; i < rc.Writers; i++ {
-		w.hists[i] = perf.NewHistogram()
 		w.wg.Add(1)
 		go w.writer(i, rc)
 	}
@@ -136,7 +134,6 @@ func startWorkload(c *Cluster, rc RunConfig) *workload {
 func (w *workload) writer(id int, rc RunConfig) {
 	defer w.wg.Done()
 	rng := rand.New(rand.NewSource(rc.Seed + int64(id)*7919))
-	h := w.hists[id]
 	for !w.stop.Load() {
 		k := uint64(id*rc.KeysPerWriter + rng.Intn(rc.KeysPerWriter))
 		st := &w.states[k]
@@ -144,7 +141,7 @@ func (w *workload) writer(id int, rc RunConfig) {
 		val := []byte(fmt.Sprintf("%d:%d", k, ver))
 		t0 := time.Now()
 		err := w.c.Client().Set(k, val)
-		h.Record(time.Since(t0).Nanoseconds())
+		w.latency.Record(time.Since(t0).Nanoseconds())
 		if err != nil {
 			w.errs.Add(1)
 			w.lastErrNs.Store(time.Now().UnixNano())
@@ -155,7 +152,7 @@ func (w *workload) writer(id int, rc RunConfig) {
 		// one-way in the CPHash protocol), so it is measured too.
 		t0 = time.Now()
 		v, found, gerr := w.c.Client().Get(k)
-		h.Record(time.Since(t0).Nanoseconds())
+		w.latency.Record(time.Since(t0).Nanoseconds())
 		if gerr != nil {
 			w.errs.Add(1)
 			w.lastErrNs.Store(time.Now().UnixNano())
@@ -279,10 +276,7 @@ func Run(sc Scenario, rc RunConfig) (Result, error) {
 	wall := time.Since(start)
 
 	lost, stale := w.verify()
-	merged := perf.NewHistogram()
-	for _, h := range w.hists {
-		merged.Merge(h)
-	}
+	lat := w.latency.Snapshot()
 	res := Result{
 		Engine:     c.cfg.Backend,
 		Scenario:   sc.Name,
@@ -290,9 +284,9 @@ func Run(sc Scenario, rc RunConfig) (Result, error) {
 		Ops:        w.ops.Load(),
 		Errors:     w.errs.Load(),
 		QPS:        float64(w.ops.Load()) / wall.Seconds(),
-		P50Ns:      merged.Quantile(0.50),
-		P99Ns:      merged.Quantile(0.99),
-		P999Ns:     merged.Quantile(0.999),
+		P50Ns:      lat.Quantile(0.50),
+		P99Ns:      lat.Quantile(0.99),
+		P999Ns:     lat.Quantile(0.999),
 		TTRNs:      int64(ttr),
 		Promotions: c.Promotions(),
 		Lost:       lost,

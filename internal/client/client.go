@@ -534,7 +534,7 @@ func (c *Client) SetString(key, value []byte) error {
 
 // SetStringTTL stores a value under a string key that expires after ttl.
 func (c *Client) SetStringTTL(key, value []byte, ttl time.Duration) error {
-	req := protocol.Request{Op: protocol.OpSetStr, StrKey: key, TTL: wireTTL(ttl), Value: value}
+	req := protocol.Request{Op: protocol.OpSetStr, StrKey: key, TTL: partition.TTLMillis(ttl), Value: value}
 	return c.withConn(c.nodeForString(key), func(cn *conn) error {
 		return cn.send(req)
 	})
@@ -584,27 +584,13 @@ func (c *Client) withConn(n *node, fn func(*conn) error) error {
 // maskKey clips a key into the 60-bit key space the protocol requires.
 func maskKey(k uint64) uint64 { return k & uint64(partition.MaxKey) }
 
-// wireTTL converts a duration into the protocol's millisecond field,
-// rounding sub-millisecond TTLs up so "expires soon" never becomes
-// "never expires".
-func wireTTL(ttl time.Duration) uint32 {
-	if ttl <= 0 {
-		return 0
-	}
-	ms := (ttl + time.Millisecond - 1) / time.Millisecond
-	if ms > time.Duration(^uint32(0)) {
-		return ^uint32(0)
-	}
-	return uint32(ms)
-}
-
 // insertRequest builds the INSERT/INSERT_TTL frame for a fixed key; plain
 // INSERT keeps version-1 servers compatible when no TTL is asked for.
 func insertRequest(key uint64, value []byte, ttl time.Duration) protocol.Request {
 	if ttl <= 0 {
 		return protocol.Request{Op: protocol.OpInsert, Key: key, Value: value}
 	}
-	return protocol.Request{Op: protocol.OpInsertTTL, Key: key, TTL: wireTTL(ttl), Value: value}
+	return protocol.Request{Op: protocol.OpInsertTTL, Key: key, TTL: partition.TTLMillis(ttl), Value: value}
 }
 
 // --- node: pool + health ---

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cphash/internal/cluster"
+	"cphash/internal/partition"
 	"cphash/internal/protocol"
 )
 
@@ -278,7 +279,7 @@ func (p *Pipeline) SetString(key, value []byte) error {
 // SetStringTTL enqueues a string-key store with an expiry (0 = never).
 func (p *Pipeline) SetStringTTL(key, value []byte, ttl time.Duration) error {
 	_, err := p.issue(p.c.nodeForString(key),
-		protocol.Request{Op: protocol.OpSetStr, StrKey: key, TTL: wireTTL(ttl), Value: value})
+		protocol.Request{Op: protocol.OpSetStr, StrKey: key, TTL: partition.TTLMillis(ttl), Value: value})
 	return err
 }
 

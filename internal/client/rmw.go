@@ -21,6 +21,7 @@ package client
 import (
 	"time"
 
+	"cphash/internal/partition"
 	"cphash/internal/protocol"
 )
 
@@ -68,38 +69,38 @@ func (c *Client) getsAt(n *node, req protocol.Request) (value []byte, ver uint64
 // version); RMWStatusNotFound an absent key.
 func (c *Client) Cas(key uint64, value []byte, ver uint64, ttl time.Duration) (RMWOutcome, error) {
 	return c.rmwAt(c.nodeFor(key),
-		protocol.Request{Op: protocol.OpCas, Key: maskKey(key), TTL: wireTTL(ttl), Ver: ver, Value: value})
+		protocol.Request{Op: protocol.OpCas, Key: maskKey(key), TTL: partition.TTLMillis(ttl), Ver: ver, Value: value})
 }
 
 // CasString is Cas for a string key.
 func (c *Client) CasString(key, value []byte, ver uint64, ttl time.Duration) (RMWOutcome, error) {
 	return c.rmwAt(c.nodeForString(key),
-		protocol.Request{Op: protocol.OpCasStr, StrKey: key, TTL: wireTTL(ttl), Ver: ver, Value: value})
+		protocol.Request{Op: protocol.OpCasStr, StrKey: key, TTL: partition.TTLMillis(ttl), Ver: ver, Value: value})
 }
 
 // Add stores value iff the key is absent (RMWStatusNotStored otherwise).
 func (c *Client) Add(key uint64, value []byte, ttl time.Duration) (RMWOutcome, error) {
 	return c.rmwAt(c.nodeFor(key),
-		protocol.Request{Op: protocol.OpAdd, Key: maskKey(key), TTL: wireTTL(ttl), Value: value})
+		protocol.Request{Op: protocol.OpAdd, Key: maskKey(key), TTL: partition.TTLMillis(ttl), Value: value})
 }
 
 // AddString is Add for a string key.
 func (c *Client) AddString(key, value []byte, ttl time.Duration) (RMWOutcome, error) {
 	return c.rmwAt(c.nodeForString(key),
-		protocol.Request{Op: protocol.OpAddStr, StrKey: key, TTL: wireTTL(ttl), Value: value})
+		protocol.Request{Op: protocol.OpAddStr, StrKey: key, TTL: partition.TTLMillis(ttl), Value: value})
 }
 
 // Replace stores value iff the key is present (RMWStatusNotStored
 // otherwise).
 func (c *Client) Replace(key uint64, value []byte, ttl time.Duration) (RMWOutcome, error) {
 	return c.rmwAt(c.nodeFor(key),
-		protocol.Request{Op: protocol.OpReplace, Key: maskKey(key), TTL: wireTTL(ttl), Value: value})
+		protocol.Request{Op: protocol.OpReplace, Key: maskKey(key), TTL: partition.TTLMillis(ttl), Value: value})
 }
 
 // ReplaceString is Replace for a string key.
 func (c *Client) ReplaceString(key, value []byte, ttl time.Duration) (RMWOutcome, error) {
 	return c.rmwAt(c.nodeForString(key),
-		protocol.Request{Op: protocol.OpReplaceStr, StrKey: key, TTL: wireTTL(ttl), Value: value})
+		protocol.Request{Op: protocol.OpReplaceStr, StrKey: key, TTL: partition.TTLMillis(ttl), Value: value})
 }
 
 // Append concatenates value after the existing one, keeping its expiry
@@ -157,13 +158,13 @@ func (c *Client) DecrString(key []byte, delta uint64) (RMWOutcome, error) {
 // (RMWStatusNotFound on an absent key).
 func (c *Client) Touch(key uint64, ttl time.Duration) (RMWOutcome, error) {
 	return c.rmwAt(c.nodeFor(key),
-		protocol.Request{Op: protocol.OpTouch, Key: maskKey(key), TTL: wireTTL(ttl)})
+		protocol.Request{Op: protocol.OpTouch, Key: maskKey(key), TTL: partition.TTLMillis(ttl)})
 }
 
 // TouchString is Touch for a string key.
 func (c *Client) TouchString(key []byte, ttl time.Duration) (RMWOutcome, error) {
 	return c.rmwAt(c.nodeForString(key),
-		protocol.Request{Op: protocol.OpTouchStr, StrKey: key, TTL: wireTTL(ttl)})
+		protocol.Request{Op: protocol.OpTouchStr, StrKey: key, TTL: partition.TTLMillis(ttl)})
 }
 
 // SetTTLVer stores a value with an explicit CAS version (the INSERT_VER
@@ -175,7 +176,7 @@ func (c *Client) TouchString(key []byte, ttl time.Duration) (RMWOutcome, error) 
 // that before it closes a slot's dual-read window and purges the source,
 // or a read on another connection could still miss on the new owner.
 func (c *Client) SetTTLVer(key uint64, value []byte, ttl time.Duration, ver uint64) error {
-	req := protocol.Request{Op: protocol.OpInsertVer, Key: maskKey(key), TTL: wireTTL(ttl), Ver: ver, Value: value}
+	req := protocol.Request{Op: protocol.OpInsertVer, Key: maskKey(key), TTL: partition.TTLMillis(ttl), Ver: ver, Value: value}
 	return c.withConn(c.nodeFor(key), func(cn *conn) error {
 		cn.armWrite()
 		if err := protocol.WriteRequest(cn.w, req); err != nil {

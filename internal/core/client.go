@@ -212,7 +212,7 @@ func (c *Client) InsertTTLAsync(key Key, value []byte, ttl time.Duration) *Op {
 		return o
 	}
 	o.insVal = value
-	c.issue(o, request{keyop: makeKeyop(opInsert, key), arg: makeInsertArg(len(value), ttlMillis(ttl))})
+	c.issue(o, request{keyop: makeKeyop(opInsert, key), arg: makeInsertArg(len(value), partition.TTLMillis(ttl))})
 	return o
 }
 
@@ -235,7 +235,7 @@ func (c *Client) InsertTTLVerAsync(key Key, value []byte, ttl time.Duration, ver
 	}
 	o.insVal = value
 	o.rmw.Ver = ver
-	c.issue(o, request{keyop: makeKeyop(opInsert, key), arg: makeInsertArg(len(value), ttlMillis(ttl)), rmw: &o.rmw})
+	c.issue(o, request{keyop: makeKeyop(opInsert, key), arg: makeInsertArg(len(value), partition.TTLMillis(ttl)), rmw: &o.rmw})
 	return o
 }
 
@@ -251,20 +251,6 @@ func (c *Client) RMWAsync(key Key, req partition.RMWReq) *Op {
 	o.rmw = req
 	c.issue(o, request{keyop: makeKeyop(opRMW, key), rmw: &o.rmw})
 	return o
-}
-
-// ttlMillis converts a duration to the wire's 32-bit millisecond TTL,
-// rounding up so any positive ttl expires, and capping at MaxUint32
-// (~49 days). The cap is checked before the round-up so durations near
-// MaxInt64 cannot overflow into an arbitrary finite TTL.
-func ttlMillis(ttl time.Duration) uint32 {
-	if ttl <= 0 {
-		return 0
-	}
-	if ttl > math.MaxUint32*time.Millisecond {
-		return math.MaxUint32
-	}
-	return uint32((ttl + time.Millisecond - 1) / time.Millisecond)
 }
 
 // DeleteAsync issues a delete.

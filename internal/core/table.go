@@ -34,20 +34,11 @@ type Config struct {
 	RingCapacity int
 	// Policy selects LRU (default) or random eviction.
 	Policy partition.EvictionPolicy
-	// BucketsPerPartition overrides the derived bucket count (0 = derive,
-	// targeting ~1 element per bucket for 8-byte values as in §6).
-	BucketsPerPartition int
 	// LockOSThread dedicates an OS thread to each server goroutine. This is
 	// the closest Go gets to the paper's core pinning; disable it in tests
 	// or on single-CPU hosts where extra OS threads only add scheduling
 	// pressure.
 	LockOSThread bool
-	// SpinBudget is how many empty polling sweeps a server performs before
-	// yielding the processor. Higher values reduce wake-up latency at the
-	// cost of burning cycles, mirroring the paper's always-spinning servers
-	// (they measured 41% idle polling time at peak throughput). 0 means a
-	// modest default suitable for shared machines.
-	SpinBudget int
 	// BatchLowWater is the adaptive-consume low watermark: a server that
 	// finds a request ring non-empty but holding fewer than this many
 	// messages briefly re-polls the producer index before draining, so
@@ -83,9 +74,6 @@ func (c *Config) setDefaults() error {
 	}
 	if c.RingCapacity < requestLineMsgs || c.RingCapacity&(c.RingCapacity-1) != 0 {
 		return fmt.Errorf("core: RingCapacity %d must be a power of two ≥ %d", c.RingCapacity, requestLineMsgs)
-	}
-	if c.SpinBudget <= 0 {
-		c.SpinBudget = 16
 	}
 	if c.BatchLowWater == 0 {
 		c.BatchLowWater = requestLineMsgs
@@ -168,8 +156,15 @@ type Table struct {
 	closed  atomic.Bool
 }
 
+// spinBudget is how many empty polling sweeps a server performs before
+// yielding the processor. A higher budget cuts wake-up latency at the
+// cost of burning cycles, the trade the paper's always-spinning servers
+// make (they measured 41% idle polling time at peak throughput); this
+// one is modest enough for shared machines.
+const spinBudget = 16
+
 // parkAfterSweeps is how many consecutive empty polling sweeps a server
-// performs (yielding every SpinBudget of them) before parking.
+// performs (yielding every spinBudget of them) before parking.
 const parkAfterSweeps = 256
 
 // adaptiveSpinBudget bounds how many index re-polls a server spends
@@ -199,7 +194,6 @@ func New(cfg Config) (*Table, error) {
 		}
 		s, err := partition.NewStore(partition.Config{
 			CapacityBytes: per,
-			Buckets:       cfg.BucketsPerPartition,
 			Policy:        cfg.Policy,
 			Seed:          cfg.Seed + uint64(p)*0x9e3779b97f4a7c15 + 1,
 			Clock:         cfg.Clock,
@@ -452,7 +446,7 @@ func (t *Table) CheckInvariants() error {
 // executes each operation on the local partition, and pushes replies. A
 // partition whose target moved is handed off at the sweep boundary, so a
 // partition's state and rings only ever have one processing goroutine.
-// With no work for SpinBudget consecutive sweeps the server yields; after
+// With no work for spinBudget consecutive sweeps the server yields; after
 // parkAfterSweeps it parks until a client (or the controller) kicks it.
 func (t *Table) serverLoop(id int) {
 	defer t.wg.Done()
@@ -524,7 +518,7 @@ func (t *Table) serverLoop(id int) {
 			return
 		}
 		idle++
-		if idle%t.cfg.SpinBudget == 0 {
+		if idle%spinBudget == 0 {
 			flushStats()
 			runtime.Gosched()
 		}

@@ -969,25 +969,12 @@ func slotFilter(slots *protocol.SlotSet) func(uint64) bool {
 	return func(k uint64) bool { return slots.Has(cluster.SlotOf(k)) }
 }
 
-// ttlMillis converts a remaining TTL to the wire's millisecond field,
-// rounding up so "expires soon" never becomes "never expires" (0).
-func ttlMillis(ttl time.Duration) uint32 {
-	if ttl <= 0 {
-		return 0
-	}
-	ms := (ttl + time.Millisecond - 1) / time.Millisecond
-	if ms > time.Duration(^uint32(0)) {
-		return ^uint32(0)
-	}
-	return uint32(ms)
-}
-
 // appendWireEntries converts partition scan entries to wire entries. The
 // value bytes were already copied out of the partition by the scan, so the
 // wire entry aliases them instead of copying again.
 func appendWireEntries(dst []protocol.ScanEntry, entries []partition.ScanEntry) []protocol.ScanEntry {
 	for _, e := range entries {
-		dst = append(dst, protocol.ScanEntry{Key: e.Key, TTL: ttlMillis(e.TTL), Version: e.Version, Value: e.Value})
+		dst = append(dst, protocol.ScanEntry{Key: e.Key, TTL: partition.TTLMillis(e.TTL), Version: e.Version, Value: e.Value})
 	}
 	return dst
 }

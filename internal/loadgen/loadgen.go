@@ -22,7 +22,7 @@ import (
 	"time"
 
 	"cphash/internal/client"
-	"cphash/internal/perf"
+	"cphash/internal/obs"
 	"cphash/internal/workload"
 )
 
@@ -46,6 +46,19 @@ type Config struct {
 	Validate bool
 }
 
+func (c *Config) setDefaults() error {
+	if c.Conns <= 0 {
+		c.Conns = 4
+	}
+	if c.Pipeline <= 0 {
+		c.Pipeline = 64
+	}
+	if c.OpsPerConn <= 0 {
+		c.OpsPerConn = 10000
+	}
+	return c.Spec.Validate()
+}
+
 // Result summarizes a run.
 type Result struct {
 	Ops      int64
@@ -54,7 +67,7 @@ type Result struct {
 	BadBytes int64 // validation failures (must be 0)
 	Elapsed  time.Duration
 	// Latency is the per-window round-trip distribution in nanoseconds.
-	Latency *perf.Histogram
+	Latency obs.HistSnapshot
 	// Nodes holds per-server client-side counters, keyed by address.
 	Nodes map[string]client.Stats
 }
@@ -81,18 +94,39 @@ func (r Result) String() string {
 		r.Throughput(), r.Ops, r.HitRate(), r.Elapsed.Round(time.Millisecond))
 }
 
-// Run drives the configured load and blocks until done.
+// tally is a run's shared score: every session records into it
+// concurrently.
+type tally struct {
+	ops, hits, misses, bad atomic.Int64
+	latency                obs.Hist
+	// check, when non-nil, is the spec every hit's bytes are validated
+	// against.
+	check *workload.Spec
+}
+
+// score counts one lookup outcome.
+func (t *tally) score(key uint64, found bool, got []byte) {
+	if !found {
+		t.misses.Add(1)
+		return
+	}
+	t.hits.Add(1)
+	if t.check != nil && !t.check.CheckValue(key, got) {
+		t.bad.Add(1)
+	}
+}
+
+// session is one connection's transport. window issues n operations
+// drawn from gen, waits for every response and scores the lookups.
+type session interface {
+	window(gen *workload.Generator, n int, t *tally) error
+	close()
+}
+
+// Run drives the configured load over the native protocol and blocks
+// until done.
 func Run(cfg Config) (Result, error) {
-	if cfg.Conns <= 0 {
-		cfg.Conns = 4
-	}
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 64
-	}
-	if cfg.OpsPerConn <= 0 {
-		cfg.OpsPerConn = 10000
-	}
-	if err := cfg.Spec.Validate(); err != nil {
+	if err := cfg.setDefaults(); err != nil {
 		return Result{}, err
 	}
 	// All traffic is pipelined, so MaxRetries (a sync-path knob) is moot;
@@ -106,111 +140,120 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("loadgen: %w", err)
 	}
 	defer cli.Close()
+	return drive(cfg, func() session { return newNativeSession(cli, cfg) }, cli.NodeStats)
+}
 
+// drive runs cfg.Conns sessions of cfg.OpsPerConn operations each, in
+// windows of cfg.Pipeline, and assembles the Result. nodes supplies the
+// per-node counters once the sessions are done.
+func drive(cfg Config, open func() session, nodes func() map[string]client.Stats) (Result, error) {
 	var (
-		ops, hits, misses, bad atomic.Int64
-		wg                     sync.WaitGroup
-		firstErr               atomic.Value
-		histMu                 sync.Mutex
+		t        tally
+		wg       sync.WaitGroup
+		firstErr atomic.Value
 	)
-	hist := perf.NewHistogram()
-
+	if cfg.Validate {
+		t.check = &cfg.Spec
+	}
 	start := time.Now()
 	for ci := 0; ci < cfg.Conns; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
-			h, err := runConn(cli, cfg, ci, &ops, &hits, &misses, &bad)
-			if err != nil {
+			if err := runSession(cfg, ci, open(), &t); err != nil {
 				firstErr.CompareAndSwap(nil, err)
-				return
 			}
-			histMu.Lock()
-			hist.Merge(h)
-			histMu.Unlock()
 		}(ci)
 	}
 	wg.Wait()
 	res := Result{
-		Ops:      ops.Load(),
-		Hits:     hits.Load(),
-		Misses:   misses.Load(),
-		BadBytes: bad.Load(),
+		Ops:      t.ops.Load(),
+		Hits:     t.hits.Load(),
+		Misses:   t.misses.Load(),
+		BadBytes: t.bad.Load(),
 		Elapsed:  time.Since(start),
-		Latency:  hist,
-		Nodes:    cli.NodeStats(),
+		Latency:  t.latency.Snapshot(),
+		Nodes:    nodes(),
 	}
-	if err, _ := firstErr.Load().(error); err != nil {
-		return res, err
-	}
-	return res, nil
+	err, _ := firstErr.Load().(error)
+	return res, err
 }
 
-// runConn drives one pipelined session: windows of Pipeline requests
-// issued through the client (which routes each key to its node), then the
-// lookup futures drained and scored.
-func runConn(cli *client.Client, cfg Config, ci int, ops, hits, misses, bad *atomic.Int64) (*perf.Histogram, error) {
-	pipe := cli.Pipeline()
-	defer pipe.Close()
-	// Each window's futures are fully scored before the next Wait, so the
-	// pipeline can recycle its slab and futures — the measurement loop
-	// stays allocation-free instead of GC-churning at high op rates.
-	pipe.SetReuseValues(true)
-
+// runSession drives one session through its own seeded generator,
+// timing each window's round trip.
+func runSession(cfg Config, ci int, s session, t *tally) error {
+	defer s.close()
 	spec := cfg.Spec
 	spec.Seed = cfg.Spec.Seed + uint64(ci)*0x9e3779b9 + 17
 	gen, err := workload.NewGenerator(spec)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	hist := perf.NewHistogram()
-	valBuf := make([]byte, cfg.Spec.MaxValueSize())
-	type pendingLookup struct {
-		look *client.Lookup
-		key  uint64
-	}
-	pending := make([]pendingLookup, 0, cfg.Pipeline)
-
-	remaining := cfg.OpsPerConn
-	for remaining > 0 {
-		window := cfg.Pipeline
-		if window > remaining {
-			window = remaining
-		}
-		pending = pending[:0]
+	for remaining := cfg.OpsPerConn; remaining > 0; {
+		n := min(cfg.Pipeline, remaining)
 		t0 := time.Now()
-		for i := 0; i < window; i++ {
-			kind, key := gen.Next()
-			switch kind {
-			case workload.Insert:
-				v := cfg.Spec.FillValue(key, valBuf)
-				if err := pipe.Set(key, v); err != nil {
-					return nil, fmt.Errorf("loadgen: insert: %w", err)
-				}
-			case workload.Lookup:
-				pending = append(pending, pendingLookup{look: pipe.Get(key), key: key})
-			}
+		if err := s.window(gen, n, t); err != nil {
+			return err
 		}
-		if err := pipe.Wait(); err != nil {
-			return nil, fmt.Errorf("loadgen: window: %w", err)
-		}
-		for _, p := range pending {
-			if err := p.look.Err(); err != nil {
-				return nil, fmt.Errorf("loadgen: lookup: %w", err)
-			}
-			if p.look.Found() {
-				hits.Add(1)
-				if cfg.Validate && !cfg.Spec.CheckValue(p.key, p.look.Value()) {
-					bad.Add(1)
-				}
-			} else {
-				misses.Add(1)
-			}
-		}
-		hist.Record(time.Since(t0).Nanoseconds())
-		ops.Add(int64(window))
-		remaining -= window
+		t.latency.Record(time.Since(t0).Nanoseconds())
+		t.ops.Add(int64(n))
+		remaining -= n
 	}
-	return hist, nil
+	return nil
 }
+
+// nativeSession is one pipelined client session: each window's requests
+// are issued through the client (which routes each key to its node),
+// then the lookup futures are drained and scored.
+type nativeSession struct {
+	cfg     Config
+	pipe    *client.Pipeline
+	valBuf  []byte
+	pending []pendingLookup
+}
+
+type pendingLookup struct {
+	look *client.Lookup
+	key  uint64
+}
+
+func newNativeSession(cli *client.Client, cfg Config) *nativeSession {
+	pipe := cli.Pipeline()
+	// Each window's futures are fully scored before the next Wait, so the
+	// pipeline can recycle its slab and futures — the measurement loop
+	// stays allocation-free instead of GC-churning at high op rates.
+	pipe.SetReuseValues(true)
+	return &nativeSession{
+		cfg:     cfg,
+		pipe:    pipe,
+		valBuf:  make([]byte, cfg.Spec.MaxValueSize()),
+		pending: make([]pendingLookup, 0, cfg.Pipeline),
+	}
+}
+
+func (s *nativeSession) window(gen *workload.Generator, n int, t *tally) error {
+	s.pending = s.pending[:0]
+	for i := 0; i < n; i++ {
+		kind, key := gen.Next()
+		switch kind {
+		case workload.Insert:
+			if err := s.pipe.Set(key, s.cfg.Spec.FillValue(key, s.valBuf)); err != nil {
+				return fmt.Errorf("loadgen: insert: %w", err)
+			}
+		case workload.Lookup:
+			s.pending = append(s.pending, pendingLookup{look: s.pipe.Get(key), key: key})
+		}
+	}
+	if err := s.pipe.Wait(); err != nil {
+		return fmt.Errorf("loadgen: window: %w", err)
+	}
+	for _, p := range s.pending {
+		if err := p.look.Err(); err != nil {
+			return fmt.Errorf("loadgen: lookup: %w", err)
+		}
+		t.score(p.key, p.look.Found(), p.look.Value())
+	}
+	return nil
+}
+
+func (s *nativeSession) close() { s.pipe.Close() }

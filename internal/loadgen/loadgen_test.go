@@ -68,8 +68,10 @@ func TestRunEndToEnd(t *testing.T) {
 	if res.Hits == 0 || res.Misses == 0 {
 		t.Fatalf("degenerate hit/miss split: %d/%d", res.Hits, res.Misses)
 	}
-	if res.Latency.Count() == 0 {
-		t.Fatal("no latency samples")
+	// One sample per window, all sessions recording into one histogram:
+	// 3 sessions × 2000/16 windows.
+	if res.Latency.Count != 375 || res.Latency.Quantile(0.5) <= 0 {
+		t.Fatalf("latency: %d samples (want 375), p50 %d ns", res.Latency.Count, res.Latency.Quantile(0.5))
 	}
 	if res.Throughput() <= 0 || res.String() == "" {
 		t.Fatal("bad summary")

@@ -15,14 +15,11 @@ package loadgen
 import (
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cphash/internal/client"
 	"cphash/internal/cluster"
 	"cphash/internal/mcclient"
-	"cphash/internal/perf"
 	"cphash/internal/workload"
 )
 
@@ -34,60 +31,22 @@ const maxGetBatch = 64
 // batch. The Result's Nodes map is empty (the text client keeps no
 // per-node counters).
 func RunMemcached(cfg Config) (Result, error) {
-	if cfg.Conns <= 0 {
-		cfg.Conns = 4
-	}
-	if cfg.Pipeline <= 0 {
-		cfg.Pipeline = 64
-	}
-	if cfg.OpsPerConn <= 0 {
-		cfg.OpsPerConn = 10000
-	}
-	if err := cfg.Spec.Validate(); err != nil {
+	if err := cfg.setDefaults(); err != nil {
 		return Result{}, err
 	}
 	ring, err := cluster.New(cfg.Addrs)
 	if err != nil {
 		return Result{}, fmt.Errorf("loadgen: %w", err)
 	}
-
-	var (
-		ops, hits, misses, bad atomic.Int64
-		wg                     sync.WaitGroup
-		firstErr               atomic.Value
-		histMu                 sync.Mutex
-	)
-	hist := perf.NewHistogram()
-
-	start := time.Now()
-	for ci := 0; ci < cfg.Conns; ci++ {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			h, err := runTextConn(ring, cfg, ci, &ops, &hits, &misses, &bad)
-			if err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				return
-			}
-			histMu.Lock()
-			hist.Merge(h)
-			histMu.Unlock()
-		}(ci)
-	}
-	wg.Wait()
-	res := Result{
-		Ops:      ops.Load(),
-		Hits:     hits.Load(),
-		Misses:   misses.Load(),
-		BadBytes: bad.Load(),
-		Elapsed:  time.Since(start),
-		Latency:  hist,
-		Nodes:    map[string]client.Stats{},
-	}
-	if err, _ := firstErr.Load().(error); err != nil {
-		return res, err
-	}
-	return res, nil
+	return drive(cfg, func() session {
+		return &textSession{
+			cfg:         cfg,
+			ring:        ring,
+			clients:     map[string]*mcclient.Client{},
+			valBuf:      make([]byte, cfg.Spec.MaxValueSize()),
+			pendingKeys: map[string][]uint64{},
+		}
+	}, func() map[string]client.Stats { return map[string]client.Stats{} })
 }
 
 // textKey renders a native 60-bit key as a memcached key.
@@ -95,96 +54,78 @@ func textKey(key uint64) string {
 	return "k" + strconv.FormatUint(key, 16)
 }
 
-// runTextConn drives one synchronous text session: inserts as they are
-// drawn, lookups coalesced per node into one multi-key get per window.
-func runTextConn(ring *cluster.Ring, cfg Config, ci int, ops, hits, misses, bad *atomic.Int64) (*perf.Histogram, error) {
-	clients := map[string]*mcclient.Client{}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-	}()
-	clientFor := func(addr string) (*mcclient.Client, error) {
-		if c := clients[addr]; c != nil {
-			return c, nil
-		}
-		c, err := mcclient.Dial(addr, 5*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		clients[addr] = c
+// textSession is one synchronous text session: inserts go out as they
+// are drawn, lookups coalesce per node into one multi-key get per
+// window. Connections to each node are dialed on first use.
+type textSession struct {
+	cfg         Config
+	ring        *cluster.Ring
+	clients     map[string]*mcclient.Client
+	valBuf      []byte
+	pendingKeys map[string][]uint64 // addr → native keys to multi-get
+}
+
+func (s *textSession) clientFor(addr string) (*mcclient.Client, error) {
+	if c := s.clients[addr]; c != nil {
 		return c, nil
 	}
-
-	spec := cfg.Spec
-	spec.Seed = cfg.Spec.Seed + uint64(ci)*0x9e3779b9 + 17
-	gen, err := workload.NewGenerator(spec)
+	c, err := mcclient.Dial(addr, 5*time.Second)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("loadgen: dial %s: %w", addr, err)
 	}
+	s.clients[addr] = c
+	return c, nil
+}
 
-	hist := perf.NewHistogram()
-	valBuf := make([]byte, cfg.Spec.MaxValueSize())
-	pendingKeys := map[string][]uint64{} // addr → native keys to multi-get
-
-	remaining := cfg.OpsPerConn
-	for remaining > 0 {
-		window := cfg.Pipeline
-		if window > remaining {
-			window = remaining
-		}
-		for addr := range pendingKeys {
-			pendingKeys[addr] = pendingKeys[addr][:0]
-		}
-		t0 := time.Now()
-		for i := 0; i < window; i++ {
-			kind, key := gen.Next()
-			addr := ring.NodeOf(uint64(key))
-			switch kind {
-			case workload.Insert:
-				c, err := clientFor(addr)
-				if err != nil {
-					return nil, fmt.Errorf("loadgen: dial %s: %w", addr, err)
-				}
-				v := cfg.Spec.FillValue(key, valBuf)
-				if err := c.Set(textKey(uint64(key)), v, 0, 0); err != nil {
-					return nil, fmt.Errorf("loadgen: set: %w", err)
-				}
-			case workload.Lookup:
-				pendingKeys[addr] = append(pendingKeys[addr], uint64(key))
+func (s *textSession) window(gen *workload.Generator, n int, t *tally) error {
+	for addr := range s.pendingKeys {
+		s.pendingKeys[addr] = s.pendingKeys[addr][:0]
+	}
+	for i := 0; i < n; i++ {
+		kind, key := gen.Next()
+		addr := s.ring.NodeOf(key)
+		switch kind {
+		case workload.Insert:
+			c, err := s.clientFor(addr)
+			if err != nil {
+				return err
 			}
+			if err := c.Set(textKey(key), s.cfg.Spec.FillValue(key, s.valBuf), 0, 0); err != nil {
+				return fmt.Errorf("loadgen: set: %w", err)
+			}
+		case workload.Lookup:
+			s.pendingKeys[addr] = append(s.pendingKeys[addr], key)
 		}
-		for addr, keys := range pendingKeys {
-			for head := 0; head < len(keys); head += maxGetBatch {
-				batch := keys[head:min(head+maxGetBatch, len(keys))]
-				names := make([]string, len(batch))
-				for i, k := range batch {
-					names[i] = textKey(k)
-				}
-				c, err := clientFor(addr)
-				if err != nil {
-					return nil, fmt.Errorf("loadgen: dial %s: %w", addr, err)
-				}
-				got, err := c.GetMulti(names...)
-				if err != nil {
-					return nil, fmt.Errorf("loadgen: get: %w", err)
-				}
-				for i, k := range batch {
-					item := got[names[i]]
-					if item == nil {
-						misses.Add(1)
-						continue
-					}
-					hits.Add(1)
-					if cfg.Validate && !cfg.Spec.CheckValue(k, item.Value) {
-						bad.Add(1)
-					}
+	}
+	for addr, keys := range s.pendingKeys {
+		for head := 0; head < len(keys); head += maxGetBatch {
+			batch := keys[head:min(head+maxGetBatch, len(keys))]
+			names := make([]string, len(batch))
+			for i, k := range batch {
+				names[i] = textKey(k)
+			}
+			c, err := s.clientFor(addr)
+			if err != nil {
+				return err
+			}
+			got, err := c.GetMulti(names...)
+			if err != nil {
+				return fmt.Errorf("loadgen: get: %w", err)
+			}
+			for i, k := range batch {
+				if item := got[names[i]]; item != nil {
+					t.score(k, true, item.Value)
+				} else {
+					t.score(k, false, nil)
 				}
 			}
 		}
-		hist.Record(time.Since(t0).Nanoseconds())
-		ops.Add(int64(window))
-		remaining -= window
 	}
-	return hist, nil
+	return nil
+}
+
+func (s *textSession) close() {
+	for _, c := range s.clients {
+		c.Close()
+	}
 }

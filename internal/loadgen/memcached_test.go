@@ -58,8 +58,9 @@ func TestRunMemcachedEndToEnd(t *testing.T) {
 	if res.Hits == 0 || res.Misses == 0 {
 		t.Fatalf("degenerate hit/miss split: %d/%d", res.Hits, res.Misses)
 	}
-	if res.Latency.Count() == 0 {
-		t.Fatal("no latency samples")
+	// One sample per window: 2 sessions × ⌈3000/32⌉ windows.
+	if res.Latency.Count != 188 || res.Latency.Quantile(0.5) <= 0 {
+		t.Fatalf("latency: %d samples (want 188), p50 %d ns", res.Latency.Count, res.Latency.Quantile(0.5))
 	}
 }
 

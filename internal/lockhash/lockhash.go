@@ -49,8 +49,6 @@ type Config struct {
 	CapacityBytes int
 	// Policy selects LRU (default) or random eviction.
 	Policy partition.EvictionPolicy
-	// BucketsPerPartition overrides the derived bucket count (0 = derive).
-	BucketsPerPartition int
 	// Seed makes eviction deterministic for tests.
 	Seed uint64
 	// Clock supplies "now" in nanoseconds for TTL expiry (nil = wall
@@ -102,7 +100,6 @@ func New(cfg Config) (*Table, error) {
 		}
 		s, err := partition.NewStore(partition.Config{
 			CapacityBytes: per,
-			Buckets:       cfg.BucketsPerPartition,
 			Policy:        cfg.Policy,
 			Seed:          cfg.Seed + uint64(i)*0x9e3779b97f4a7c15 + 1,
 			Clock:         cfg.Clock,

@@ -523,13 +523,11 @@ func (c *Controller) synced() bool {
 		if in.src == nil {
 			continue
 		}
-		tail := in.src.Tail()
-		for _, ps := range in.src.Status() {
-			if !ps.Synced || ps.Acked < tail {
-				return false
-			}
-			peers++
+		n, ok := in.src.CaughtUp()
+		if !ok {
+			return false
 		}
+		peers += n
 	}
 	return peers >= links
 }

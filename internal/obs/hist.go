@@ -2,9 +2,10 @@
 // the record path, bounded relative error on quantiles. The layout is
 // the HDR-histogram family's: values 0..7 get exact buckets, then every
 // power-of-two octave splits into 8 sub-buckets, so a bucket is never
-// wider than 12.5% of its lower edge — p99/p999 read from a scrape are
-// within that bound of the true quantile, a far tighter promise than the
-// 2× log2 buckets internal/perf trades away for simplicity.
+// wider than 12.5% of its lower edge — p99/p999 read from a scrape, or
+// from a benchmark's own recording, are within that bound of the true
+// quantile. It is the repo's one latency histogram: the live metrics,
+// the load generator, cpbench and the fault matrix all record into it.
 package obs
 
 import (

@@ -3,7 +3,9 @@ package obs
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
+	"testing/quick"
 )
 
 // TestHistBucketEdges checks that every value lands in a bucket whose
@@ -91,6 +93,102 @@ func TestHistQuantileProperty(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHistBasics checks the summary a benchmark reads off a run: an
+// empty snapshot reports zeros, and 1..1000 reports the exact count and
+// mean and a median within one bucket above the true 500.
+func TestHistBasics(t *testing.T) {
+	var h Hist
+	empty := h.Snapshot()
+	if empty.Count != 0 || empty.Mean() != 0 || empty.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram not all-zero")
+	}
+	for v := int64(1); v <= 1000; v++ {
+		h.Record(v)
+	}
+	s := h.Snapshot()
+	if s.Count != 1000 || s.Mean() != 500.5 {
+		t.Fatalf("count/mean = %d/%v, want 1000/500.5", s.Count, s.Mean())
+	}
+	if p50 := s.Quantile(0.5); p50 < 500 || p50 > 500+500/histSub {
+		t.Fatalf("p50 = %d, want within a bucket above 500", p50)
+	}
+	if p100 := s.Quantile(1); p100 < 1000 {
+		t.Fatalf("p100 = %d, want ≥ 1000", p100)
+	}
+}
+
+// TestHistNegativeClamps: a negative observation (a clock step) counts
+// as zero rather than corrupting a bucket index.
+func TestHistNegativeClamps(t *testing.T) {
+	var h Hist
+	h.Record(-5)
+	s := h.Snapshot()
+	if s.Count != 1 || s.Buckets[0] != 1 || s.Sum != 0 {
+		t.Fatalf("negative clamp broken: count %d, bucket0 %d, sum %d", s.Count, s.Buckets[0], s.Sum)
+	}
+}
+
+// TestHistQuantileMonotone: quantiles never decrease in q, and p100
+// bounds the largest sample from above.
+func TestHistQuantileMonotone(t *testing.T) {
+	f := func(vals []uint32) bool {
+		if len(vals) == 0 {
+			return true
+		}
+		var h Hist
+		var max int64
+		for _, v := range vals {
+			h.Record(int64(v))
+			if int64(v) > max {
+				max = int64(v)
+			}
+		}
+		s := h.Snapshot()
+		prev := int64(-1)
+		for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.99, 1} {
+			cur := s.Quantile(q)
+			if cur < prev {
+				return false
+			}
+			prev = cur
+		}
+		return s.Quantile(1) >= max
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHistConcurrentRecord is the contract the load drivers rely on:
+// every session records into one shared Hist, with no lost update.
+func TestHistConcurrentRecord(t *testing.T) {
+	const goroutines, each = 8, 10000
+	var h Hist
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Record(int64(g))
+			}
+		}(g)
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	if s.Count != goroutines*each {
+		t.Fatalf("count = %d, want %d", s.Count, goroutines*each)
+	}
+	if want := int64(each * goroutines * (goroutines - 1) / 2); s.Sum != want {
+		t.Fatalf("sum = %d, want %d", s.Sum, want)
+	}
+	for g := 0; g < goroutines; g++ {
+		if s.Buckets[histBucket(int64(g))] != each {
+			t.Fatalf("bucket of %d holds %d, want %d", g, s.Buckets[histBucket(int64(g))], each)
+		}
 	}
 }
 

@@ -93,26 +93,17 @@ func (n *node) follow(source string, slots *protocol.SlotSet, hb time.Duration) 
 }
 
 // waitAcked polls until the source's tail watermark is acknowledged by
-// every connected peer (all replicated writes applied remotely).
+// every connected peer, and there is at least one (all replicated
+// writes applied remotely).
 func waitAcked(t *testing.T, src *replica.Source, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		tail := src.Tail()
-		ok := false
-		for _, ps := range src.Status() {
-			if ps.Synced && ps.Acked >= tail {
-				ok = true
-			} else {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if n, ok := src.CaughtUp(); ok && n > 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("watermark not acked: tail=%d status=%+v", tail, src.Status())
+			t.Fatalf("watermark not acked: tail=%d status=%+v", src.Tail(), src.Status())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -130,6 +121,9 @@ func TestReplicateLiveTailAndInitialSync(t *testing.T) {
 	primary.table.PutTTL(9001, []byte("ttl-entry"), time.Hour)
 	primary.table.Put(9002, []byte("doomed"))
 	primary.table.Delete(9002)
+	if n, ok := primary.src.CaughtUp(); n != 0 || !ok {
+		t.Fatalf("CaughtUp with no follower = (%d, %v), want (0, true)", n, ok)
+	}
 
 	follower := startNode(t, nil)
 	fl := follower.follow(primary.src.Addr(), nil, hb)

@@ -363,6 +363,22 @@ func (s *Source) Status() []PeerStatus {
 	return out
 }
 
+// CaughtUp reports how many followers are connected and whether every
+// one of them has completed its initial sync and acknowledged the
+// current tail — the steady replication state a benchmark or the
+// controller waits for. With no followers it reports (0, true).
+func (s *Source) CaughtUp() (peers int, ok bool) {
+	tail := s.Tail()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for p := range s.peers {
+		if !p.synced.Load() || p.acked.Load() < tail {
+			return len(s.peers), false
+		}
+	}
+	return len(s.peers), true
+}
+
 // Peers snapshots every follower the source knows of — connected ones
 // with live watermarks, dropped ones with the watermarks they held when
 // they disconnected — sorted by name. This is the failure detector's

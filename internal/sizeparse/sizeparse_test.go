@@ -60,3 +60,24 @@ func TestParseOverflow(t *testing.T) {
 		t.Fatal("overflow accepted")
 	}
 }
+
+func TestFormat(t *testing.T) {
+	cases := map[int]string{
+		0:         "0B",
+		512:       "512B",
+		100 << 10: "100KB",
+		1 << 20:   "1MB",
+		128 << 20: "128MB",
+		4 << 30:   "4GB",
+		1500:      "1500B",
+	}
+	for in, want := range cases {
+		got := Format(in)
+		if got != want {
+			t.Errorf("Format(%d) = %q, want %q", in, got, want)
+		}
+		if back, err := Parse(got); err != nil || back != in {
+			t.Errorf("Parse(Format(%d)) = %d, %v", in, back, err)
+		}
+	}
+}
