@@ -3,6 +3,7 @@ package memcache
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"cphash/internal/loadgen"
 	"cphash/internal/protocol"
@@ -127,6 +128,12 @@ func TestClusterWithLoadgen(t *testing.T) {
 	}
 	if res.HitRate() < 0.3 {
 		t.Fatalf("hit rate %.2f", res.HitRate())
+	}
+	// INSERTs are silent, so Run returns once every lookup is answered;
+	// inserts issued after a session's last lookup may still sit in an
+	// instance's queue. Wait for them to be served before counting.
+	for deadline := time.Now().Add(5 * time.Second); cluster.Requests() < res.Ops && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if cluster.Requests() != res.Ops {
 		t.Fatalf("cluster saw %d requests, loadgen sent %d", cluster.Requests(), res.Ops)

@@ -211,6 +211,31 @@ func TestHistRecordN(t *testing.T) {
 	}
 }
 
+// TestHistMerge merges two disjoint runs, the way a benchmark folds
+// per-run snapshots: the count and sum add exactly, p0 stays in the low
+// run's first bucket and p100 bounds the high run's largest sample.
+func TestHistMerge(t *testing.T) {
+	var a, b Hist
+	for v := int64(0); v < 100; v++ {
+		a.Record(v)
+		b.Record(v + 1000)
+	}
+	s := a.Snapshot()
+	s.Merge(b.Snapshot())
+	if s.Count != 200 {
+		t.Fatalf("merged count = %d, want 200", s.Count)
+	}
+	if want := int64(99*100/2 + 100*1000 + 99*100/2); s.Sum != want {
+		t.Fatalf("merged sum = %d, want %d", s.Sum, want)
+	}
+	if p0 := s.Quantile(0); p0 != 0 {
+		t.Fatalf("merged p0 = %d, want 0", p0)
+	}
+	if p100 := s.Quantile(1); p100 < 1099 || p100 > 1099+1099/histSub {
+		t.Fatalf("merged p100 = %d, want within a bucket above 1099", p100)
+	}
+}
+
 // TestHistMergeAssociativity is the scrape-time aggregation contract:
 // merging per-partition snapshots must give the same result in any
 // grouping order, so collectors can aggregate incrementally.
