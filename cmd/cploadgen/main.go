@@ -102,8 +102,8 @@ func main() {
 	}
 	fmt.Println(res)
 	lat := &res.Latency
-	fmt.Printf("window latency: n=%d mean=%.0f p50≤%d p99≤%d ns\n",
-		lat.Count, lat.Mean(), lat.Quantile(0.5), lat.Quantile(0.99))
+	fmt.Printf("window latency: n=%d mean=%.0f p50≤%d p99≤%d max≤%d ns\n",
+		lat.Count, lat.Mean(), lat.Quantile(0.5), lat.Quantile(0.99), lat.Quantile(1))
 	if *p999 {
 		fmt.Printf("window latency p999≤%d ns\n", lat.Quantile(0.999))
 	}

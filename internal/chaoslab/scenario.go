@@ -148,8 +148,7 @@ func (w *workload) writer(id int, rc RunConfig) {
 			continue
 		}
 		w.ops.Add(1)
-		// The read-back is where synchronous latency lives (SETs are
-		// one-way in the CPHash protocol), so it is measured too.
+		// The read-back that confirms the write is measured too.
 		t0 = time.Now()
 		v, found, gerr := w.c.Client().Get(k)
 		w.latency.Record(time.Since(t0).Nanoseconds())

@@ -481,16 +481,20 @@ func (c *Client) lookupAt(n *node, req protocol.Request, dst []byte) (value []by
 }
 
 // Set stores a value under a fixed key with no expiry. The wire INSERT is
-// silent (as in the paper), so only transport errors are reported.
+// silent (as in the paper), so only transport errors are reported; Set
+// returns once the write is applied (see sendFenced), so one caller's
+// writes of a key apply in the order it made them. Pipeline.Set is the
+// one-way form.
 func (c *Client) Set(key uint64, value []byte) error {
 	return c.SetTTL(key, value, 0)
 }
 
-// SetTTL stores a value that expires after ttl (0 = never).
+// SetTTL stores a value that expires after ttl (0 = never), returning
+// once it is applied like Set.
 func (c *Client) SetTTL(key uint64, value []byte, ttl time.Duration) error {
 	req := insertRequest(maskKey(key), value, ttl)
 	return c.withConn(c.nodeFor(key), func(cn *conn) error {
-		return cn.send(req)
+		return cn.sendFenced(req)
 	})
 }
 
@@ -532,11 +536,12 @@ func (c *Client) SetString(key, value []byte) error {
 	return c.SetStringTTL(key, value, 0)
 }
 
-// SetStringTTL stores a value under a string key that expires after ttl.
+// SetStringTTL stores a value under a string key that expires after ttl,
+// returning once it is applied like Set.
 func (c *Client) SetStringTTL(key, value []byte, ttl time.Duration) error {
 	req := protocol.Request{Op: protocol.OpSetStr, StrKey: key, TTL: partition.TTLMillis(ttl), Value: value}
 	return c.withConn(c.nodeForString(key), func(cn *conn) error {
-		return cn.send(req)
+		return cn.sendFenced(req)
 	})
 }
 
@@ -599,11 +604,12 @@ type node struct {
 	addr string
 	cfg  *Config
 	// tokens is the capacity semaphore: ConnsPerNode leases outstanding
-	// at most. idle holds parked connections, most recently used last —
-	// LIFO reuse gives a sequential caller the SAME connection back, and
-	// per-connection request order is the only ordering the servers
-	// guarantee (a silent SET followed by a GET on a different connection
-	// may be batched by different workers).
+	// at most. idle holds parked connections, most recently used last.
+	// With other goroutines on the client, a caller's next lease may be a
+	// different connection, and per-connection request order is the only
+	// ordering the servers guarantee (a silent SET followed by a GET on a
+	// different connection may be batched by different workers) — which
+	// is why the synchronous writes fence themselves (sendFenced).
 	tokens    chan struct{}
 	mu        sync.Mutex
 	idle      []*conn
@@ -746,13 +752,25 @@ func (cn *conn) armRead() {
 	}
 }
 
-// send writes and flushes one silent request (INSERT-class).
-func (cn *conn) send(req protocol.Request) error {
+// sendFenced writes one silent request (INSERT-class) followed by a
+// lookup of the same key on the same connection, and returns once that
+// lookup is answered. The server applies one connection's requests to a
+// key in order, so the reply acknowledges the write: an operation on any
+// connection issued afterwards sees it (or a newer value).
+func (cn *conn) sendFenced(req protocol.Request) error {
 	cn.armWrite()
 	if err := protocol.WriteRequest(cn.w, req); err != nil {
 		return err
 	}
-	return cn.w.Flush()
+	fence := protocol.Request{Op: protocol.OpLookup, Key: req.Key}
+	if req.StrKey != nil {
+		fence = protocol.Request{Op: protocol.OpGetStr, StrKey: req.StrKey}
+	}
+	var (
+		v     []byte
+		found bool
+	)
+	return cn.roundTripLookup(fence, nil, &v, &found)
 }
 
 // roundTripLookup does a synchronous LOOKUP/GET_STR exchange, appending a

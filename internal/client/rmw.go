@@ -170,23 +170,14 @@ func (c *Client) TouchString(key []byte, ttl time.Duration) (RMWOutcome, error) 
 // SetTTLVer stores a value with an explicit CAS version (the INSERT_VER
 // replay primitive migration and backup tooling use). It is idempotent —
 // replaying the same (value, version) converges — so it keeps the SDK's
-// ordinary retry behavior. It returns once the write is applied: the
-// wire INSERT_VER is silent, so a LOOKUP of the key follows it on the
-// same connection, whose in-order reply acknowledges it. Migration needs
-// that before it closes a slot's dual-read window and purges the source,
-// or a read on another connection could still miss on the new owner.
+// ordinary retry behavior. Like Set it returns once the write is applied
+// (sendFenced). Migration needs that before it closes a slot's dual-read
+// window and purges the source, or a read on another connection could
+// still miss on the new owner.
 func (c *Client) SetTTLVer(key uint64, value []byte, ttl time.Duration, ver uint64) error {
 	req := protocol.Request{Op: protocol.OpInsertVer, Key: maskKey(key), TTL: partition.TTLMillis(ttl), Ver: ver, Value: value}
 	return c.withConn(c.nodeFor(key), func(cn *conn) error {
-		cn.armWrite()
-		if err := protocol.WriteRequest(cn.w, req); err != nil {
-			return err
-		}
-		var (
-			v     []byte
-			found bool
-		)
-		return cn.roundTripLookup(protocol.Request{Op: protocol.OpLookup, Key: req.Key}, nil, &v, &found)
+		return cn.sendFenced(req)
 	})
 }
 
